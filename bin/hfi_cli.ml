@@ -52,13 +52,12 @@ let run_cmd =
   in
   let tier =
     Arg.(value
-         & opt (some (enum [ ("ast", `Ast); ("uop", `Uop); ("block", `Block) ])) None
+         & opt (some (enum [ ("ast", false); ("uop", true) ])) None
          & info [ "tier" ] ~docv:"TIER"
              ~doc:
-               "Force the simulator execution tier: $(b,ast) (reference interpreter), \
-                $(b,uop) (pre-decoded \xc2\xb5op dispatch) or $(b,block) (block-compiled \
-                threaded dispatch, the default). Overrides HFI_DECODE_CACHE / \
-                HFI_BLOCK_COMPILE; results are identical across tiers.")
+               "Force the simulator execution tier: $(b,ast) (reference interpreter) or \
+                $(b,uop) (pre-decoded \xc2\xb5op dispatch, the default). Overrides \
+                HFI_DECODE_CACHE; results are identical across tiers.")
   in
   let opt =
     Arg.(value
@@ -71,15 +70,7 @@ let run_cmd =
                 unaffected.")
   in
   let run quick time tier opt fuzz_seed fuzz_iters ids =
-    (match tier with
-    | None -> ()
-    | Some `Ast -> Hfi_pipeline.Machine.decode_dispatch := false
-    | Some `Uop ->
-      Hfi_pipeline.Machine.decode_dispatch := true;
-      Hfi_pipeline.Machine.block_compile := false
-    | Some `Block ->
-      Hfi_pipeline.Machine.decode_dispatch := true;
-      Hfi_pipeline.Machine.block_compile := true);
+    (match tier with None -> () | Some v -> Hfi_pipeline.Machine.decode_dispatch := v);
     (match opt with None -> () | Some v -> Hfi_opt.Driver.enabled := v);
     if fuzz_seed <> None || fuzz_iters <> None then
       Hfi_experiments.Fuzz.configure ~seed:fuzz_seed ~iters:fuzz_iters;

@@ -44,21 +44,12 @@ type exec_info = {
 val decode_dispatch : bool ref
 (** When true (default; [HFI_DECODE_CACHE=0] flips it at startup), [run]
     dispatches on the pre-decoded µop form; when false it runs the
-    reference match-on-AST interpreter. All tiers produce bit-identical
+    reference match-on-AST interpreter. Both tiers produce bit-identical
     architectural and modeled results — tests flip this in-process to
     prove it. *)
 
-val block_compile : bool ref
-(** When true (default; [HFI_BLOCK_COMPILE=0] flips it at startup) and
-    {!decode_dispatch} is on, [run] executes block-compiled threaded
-    code: one pre-specialized closure per µop (operands, immediates, and
-    branch metadata bound at compile time), fused per basic block into a
-    single superinstruction chain, compiled once per program and cached
-    beside the decode memo. When false the µop-record interpreter runs
-    instead (the PR 3 mid tier). *)
-
 val dispatch_tier : unit -> string
-(** The tier [run] currently selects: ["ast"], ["uop"], or ["block"]. *)
+(** The tier [run] currently selects: ["uop"] (default) or ["ast"]. *)
 
 type status = Running | Halted | Faulted of Msr.t
 
@@ -117,8 +108,7 @@ val step : t -> (exec_info -> unit) -> status
 
 val run : ?fuel:int -> t -> (exec_info -> unit) -> status
 (** Step until [Halted], [Faulted], or [fuel] instructions. Dispatches
-    per {!decode_dispatch} / {!block_compile}; all tiers observe
-    identical events. *)
+    per {!decode_dispatch}; both tiers observe identical events. *)
 
 (** {1 Wrong-path speculation support}
 

@@ -97,14 +97,6 @@ val decode : Program.t -> code_base:int -> t array
 val decode_fresh : Program.t -> code_base:int -> t array
 (** Always re-decode, bypassing the memo (tests). *)
 
-val derived : Program.t -> code_base:int -> exn option ref
-(** Cache slot for artifacts derived from the decoded array (the block-
-    compiled closure chains of [Machine]), living alongside the decode
-    memo and keyed by the same [code_base]: re-decoding for a different
-    base drops the derived cache too. Decodes first if needed. The
-    payload is an [exn] (extensible-constructor trick) so the consumer
-    picks its own type without a dependency from this module. *)
-
 (** {1 Control-flow metadata — read-only view}
 
     The block extents and statically resolved branch targets the
