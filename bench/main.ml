@@ -174,22 +174,7 @@ let run_micro () =
 (* Minimal JSON writer (yojson is not vendored): only what the schema
    below needs. *)
 module Json = struct
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let str s = "\"" ^ escape s ^ "\""
+  let str s = "\"" ^ Hfi_util.Json.escape s ^ "\""
   let num f = Printf.sprintf "%.6g" f
   let obj fields = "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
   let arr items = "[" ^ String.concat "," items ^ "]"
@@ -305,16 +290,7 @@ let json_doc ~mode ~jobs ~micro ~tiers ~outcomes ~total_seconds ~cache_on =
         (* The optimizing-middle-end configuration these numbers were
            produced under: opt-backend/opt-passes (and anything compiled
            through Instance without a pinned lowering) depend on it. *)
-        ( "wasm_opt",
-          Json.obj
-            [
-              ("enabled", if !Hfi_opt.Driver.enabled then "true" else "false");
-              ( "regpressure_model",
-                Json.str
-                  (match Hfi_experiments.Register_pressure.model () with
-                  | Hfi_experiments.Register_pressure.Allocator -> "allocator"
-                  | Hfi_experiments.Register_pressure.Reserve -> "reserve") );
-            ] );
+        ("wasm_opt", Json.obj [ ("enabled", if !Hfi_opt.Driver.enabled then "true" else "false") ]);
         (* Which execution tier produced the numbers below, plus the
            measured cost of each tier on a reference kernel — makes
            BENCH_*.json trajectories self-describing across PRs. *)

@@ -6,23 +6,12 @@
     full HFI register pool, then {!Hfi_opt.Regalloc} re-allocates it
     onto a pool shrunk by 0, 1, and 2 registers, spilling what no
     longer fits. The overhead measured is therefore actual spill
-    traffic the allocator emitted, not a modeled reservation.
-
-    [HFI_REGPRESSURE_MODEL=reserve] selects the previous fixed
-    reservation model (the workload generator simply drops registers
-    from its pool), kept for comparison and for older result baselines. *)
+    traffic the allocator emitted, not a modeled reservation. *)
 
 module Spec = Hfi_workloads.Spec
 module Instance = Hfi_wasm.Instance
 module Layout = Hfi_wasm.Layout
 module Regalloc = Hfi_opt.Regalloc
-
-type model = Allocator | Reserve
-
-let model () =
-  match Sys.getenv_opt "HFI_REGPRESSURE_MODEL" with
-  | Some "reserve" -> Reserve
-  | Some _ | None -> Allocator
 
 (* Spidermonkey-like: branchy interpreter loop with a sizable live set. *)
 let profile =
@@ -48,34 +37,14 @@ let spill_base = Layout.globals_base + 0xC000
    READ by non-chasing profiles (the allocator checks this). *)
 let scratch = [ Reg.R15; Reg.R12 ]
 
-let run_instance inst ~cell =
-  let r =
-    match cell with
-    | None -> Instance.run_cycle inst
-    | Some cell ->
-      let e =
-        match !cell with
-        | Some e -> e
-        | None ->
-          let e = Cycle_engine.create (Instance.machine inst) in
-          cell := Some e;
-          e
-      in
-      Instance.run_cycle ~engine:e inst
-  in
+let run_instance inst =
+  let r = Instance.run_cycle inst in
   (match r.Cycle_engine.status with Machine.Halted -> () | _ -> failwith "reg pressure run");
   r.Cycle_engine.cycles
 
-let cycles_reserve ?(quick = false) ?cell ~pool_shrink () =
-  let p = if quick then { profile with Spec.iters = 30 } else profile in
-  let inst =
-    Instance.instantiate ~strategy:Hfi_sfi.Strategy.Hfi (Spec.workload ~pool_shrink p)
-  in
-  run_instance inst ~cell
-
 (* Re-allocate the full-pool program onto [npool - reserved] registers
    and run the result; also returns the allocator's spill statistics. *)
-let cycles_allocator ?(quick = false) ?cell ~reserved () =
+let cycles_allocator ?(quick = false) ~reserved () =
   let p = if quick then { profile with Spec.iters = 30 } else profile in
   let allocatable = Spec.pool_for Hfi_sfi.Strategy.Hfi in
   let stats = ref None in
@@ -92,75 +61,45 @@ let cycles_allocator ?(quick = false) ?cell ~reserved () =
   let inst =
     Instance.instantiate ~strategy:Hfi_sfi.Strategy.Hfi ~transform (Spec.workload p)
   in
-  let cycles = run_instance inst ~cell in
+  let cycles = run_instance inst in
   match !stats with Some st -> (cycles, st) | None -> assert false
 
 let run ?quick () =
-  match model () with
-  | Reserve ->
-    (* The previous fixed-reservation model: the generator drops
-       registers from its pool at emission time. *)
-    let base, one, two =
-      match
-        Hfi_util.Pool.map (fun pool_shrink -> cycles_reserve ?quick ~pool_shrink ()) [ 0; 1; 2 ]
-      with
-      | [ base; one; two ] -> (base, one, two)
-      | _ -> assert false
-    in
-    let pct c = (c /. base -. 1.0) *. 100.0 in
-    let table =
-      Hfi_util.Table.render
-        ~header:[ "reserved registers"; "overhead" ]
-        [
-          [ "0 (baseline)"; "0.00%" ];
-          [ "1"; Printf.sprintf "%.2f%%" (pct one) ];
-          [ "2"; Printf.sprintf "%.2f%%" (pct two) ];
-        ]
-    in
-    {
-      Report.id = "reg-pressure";
-      data = [];
-      title = "reserved-register overhead (Spidermonkey-like workload, reservation model)";
-      paper_claim = "reserving one register costs 2.25%, two registers 2.40%";
-      table;
-      verdict = Printf.sprintf "one register %.2f%%, two registers %.2f%%" (pct one) (pct two);
-    }
-  | Allocator ->
-    (* The three pool sizes are independent re-allocations of the same
-       input program, fanned over the HFI_JOBS pool. Pool.map preserves
-       input order, so jobs=1 and jobs=N render identical tables. *)
-    let rows =
-      Hfi_util.Pool.map (fun reserved -> cycles_allocator ?quick ~reserved ()) [ 0; 1; 2 ]
-    in
-    let base, one, two =
-      match rows with [ b; o; t ] -> (b, o, t) | _ -> assert false
-    in
-    let pct (c, _) = (c /. fst base -. 1.0) *. 100.0 in
-    let render label r =
-      let _, (st : Regalloc.stats) = r in
-      [
-        label;
-        (if r == base then "0.00%" else Printf.sprintf "%.2f%%" (pct r));
-        string_of_int (List.length st.Regalloc.spilled);
-        string_of_int st.Regalloc.reloads;
-        string_of_int st.Regalloc.writebacks;
-      ]
-    in
-    let table =
-      Hfi_util.Table.render
-        ~header:[ "reserved registers"; "overhead"; "spilled"; "reloads"; "writebacks" ]
-        [ render "0 (baseline)" base; render "1" one; render "2" two ]
-    in
-    {
-      Report.id = "reg-pressure";
-      data = [];
-      title = "reserved-register overhead (Spidermonkey-like workload, linear-scan allocator)";
-      paper_claim = "reserving one register costs 2.25%, two registers 2.40%";
-      table;
-      verdict =
-        Printf.sprintf "one register %.2f%% (%d spilled), two registers %.2f%% (%d spilled)"
-          (pct one)
-          (List.length (snd one).Regalloc.spilled)
-          (pct two)
-          (List.length (snd two).Regalloc.spilled);
-    }
+  (* The three pool sizes are independent re-allocations of the same
+     input program, fanned over the HFI_JOBS pool. Pool.map preserves
+     input order, so jobs=1 and jobs=N render identical tables. *)
+  let rows =
+    Hfi_util.Pool.map (fun reserved -> cycles_allocator ?quick ~reserved ()) [ 0; 1; 2 ]
+  in
+  let base, one, two =
+    match rows with [ b; o; t ] -> (b, o, t) | _ -> assert false
+  in
+  let pct (c, _) = (c /. fst base -. 1.0) *. 100.0 in
+  let render label r =
+    let _, (st : Regalloc.stats) = r in
+    [
+      label;
+      (if r == base then "0.00%" else Printf.sprintf "%.2f%%" (pct r));
+      string_of_int (List.length st.Regalloc.spilled);
+      string_of_int st.Regalloc.reloads;
+      string_of_int st.Regalloc.writebacks;
+    ]
+  in
+  let table =
+    Hfi_util.Table.render
+      ~header:[ "reserved registers"; "overhead"; "spilled"; "reloads"; "writebacks" ]
+      [ render "0 (baseline)" base; render "1" one; render "2" two ]
+  in
+  {
+    Report.id = "reg-pressure";
+    data = [];
+    title = "reserved-register overhead (Spidermonkey-like workload, linear-scan allocator)";
+    paper_claim = "reserving one register costs 2.25%, two registers 2.40%";
+    table;
+    verdict =
+      Printf.sprintf "one register %.2f%% (%d spilled), two registers %.2f%% (%d spilled)"
+        (pct one)
+        (List.length (snd one).Regalloc.spilled)
+        (pct two)
+        (List.length (snd two).Regalloc.spilled);
+  }

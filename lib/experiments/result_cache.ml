@@ -4,249 +4,84 @@
     have changed: an experiment's report is a pure function of the
     simulator code and the (id, quick) configuration. The cache keys
     each run by a digest of exactly those inputs — the experiment id,
-    the workload mode, and a digest of the running executable itself —
-    so any rebuild that changes behaviour changes the key and the stale
-    entry is simply never looked up again (invalidation by construction;
-    nothing is ever deleted).
+    the workload mode, the optimizer switch, and a digest of the
+    running executable itself — so any rebuild that changes behaviour
+    changes the key and the stale entry is simply never looked up again
+    (invalidation by construction; nothing is ever deleted).
 
     Opt-in via [HFI_RESULT_CACHE]: unset, empty, or ["0"] disables it;
     ["1"] stores under [_build/.hfi-cache/]; any other value is used as
-    the cache directory. Entries are one flat JSON object per file,
-    written atomically (temp file + rename), carrying the report fields
-    plus the original run's wall-clock seconds so cache hits can report
-    the speedup honestly. A corrupt or unreadable entry behaves as a
-    miss. *)
+    the cache directory. Entries live in an {!Hfi_util.Store} (atomic
+    writes, corrupt-is-a-miss reads, safe under [HFI_JOBS] workers);
+    each carries the report plus the original run's wall-clock seconds
+    so cache hits can report the speedup honestly. *)
+
+module J = Hfi_util.Json
+module Store = Hfi_util.Store
 
 let default_dir = Filename.concat "_build" ".hfi-cache"
-
-let dir () =
-  match Sys.getenv_opt "HFI_RESULT_CACHE" with
-  | None | Some "" | Some "0" -> None
-  | Some "1" -> Some default_dir
-  | Some d -> Some d
-
+let dir () = Store.dir_of_env "HFI_RESULT_CACHE" ~default:default_dir
 let enabled () = dir () <> None
-
-(* The executable digest covers simulator code, workload definitions and
-   experiment logic in one stroke — they are all compiled in. *)
-let code_version =
-  lazy
-    (try Digest.to_hex (Digest.file Sys.executable_name)
-     with Sys_error _ -> "unknown-executable")
 
 (* Entry-layout version. Bumping it both changes every key (old entries
    are never looked up again) and is checked against the
    [schema_version] field on read, so an entry written under a different
    layout is a miss even if it somehow shares a key. v2 added
    [schema_version] itself; v3 folded the runtime configuration knobs
-   (the HFI_WASM_OPT middle-end switch and the HFI_REGPRESSURE_MODEL
-   selector) into the key — reports are a function of those too; v4
-   added the report's machine-readable key figures, flattened as
-   ["data:<key>"] numeric fields. *)
-let schema_version = 4
+   into the key — reports are a function of those too; v4 added the
+   report's machine-readable key figures; v5 nests them as a [data]
+   object (v4 flattened them as ["data:<key>"] fields). *)
+let schema_version = 5
 
-let key ~id ~quick =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [
-            Printf.sprintf "hfi-result-v%d" schema_version;
-            id;
-            (if quick then "quick" else "full");
-            (if !Hfi_opt.Driver.enabled then "opt-on" else "opt-off");
-            (match Register_pressure.model () with
-            | Register_pressure.Allocator -> "regpressure-allocator"
-            | Register_pressure.Reserve -> "regpressure-reserve");
-            Lazy.force code_version;
-          ]))
-
-(* ---- minimal flat JSON (no dependency; mirrors bench/main.ml's writer) ---- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-exception Malformed
-
-(* Parses the single flat object this module writes: string and number
-   values only, no nesting. Raises [Malformed] on anything else. *)
-let parse_flat (s : string) : (string * [ `Str of string | `Num of float ]) list =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then raise Malformed else s.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c = if peek () <> c then raise Malformed else advance () in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | '/' -> Buffer.add_char b '/'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then raise Malformed;
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code = try int_of_string ("0x" ^ hex) with _ -> raise Malformed in
-          (* this writer only emits \u00XX control escapes *)
-          if code > 0xff then raise Malformed else Buffer.add_char b (Char.chr code)
-        | _ -> raise Malformed);
-        go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      advance ()
-    done;
-    if !pos = start then raise Malformed;
-    try float_of_string (String.sub s start (!pos - start)) with _ -> raise Malformed
-  in
-  skip_ws ();
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = '}' then advance ()
-  else begin
-    let rec members () =
-      skip_ws ();
-      let k = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      let v = if peek () = '"' then `Str (parse_string ()) else `Num (parse_number ()) in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' -> advance (); members ()
-      | '}' -> advance ()
-      | _ -> raise Malformed
-    in
-    members ()
-  end;
-  List.rev !fields
-
-(* ---- store / find ---- *)
-
-let entry_path ~dir ~key = Filename.concat dir (key ^ ".json")
-
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
+let key ~dir ~id ~quick =
+  Store.key
+    [
+      Printf.sprintf "hfi-result-v%d" schema_version;
+      id;
+      (if quick then "quick" else "full");
+      (if !Hfi_opt.Driver.enabled then "opt-on" else "opt-off");
+      Store.exe_digest ~dir;
+    ]
 
 (* A hit returns the report plus the wall-clock seconds the original
    (uncached) run took. *)
 let find ~id ~quick : (Report.t * float) option =
-  match dir () with
-  | None -> None
-  | Some dir -> begin
-    let path = entry_path ~dir ~key:(key ~id ~quick) in
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error _ -> None
-    | exception End_of_file -> None
-    | raw -> begin
-      match parse_flat raw with
-      | exception Malformed -> None
-      | fields ->
-        let str k =
-          match List.assoc_opt k fields with Some (`Str v) -> v | _ -> raise Malformed
-        in
-        let num k =
-          match List.assoc_opt k fields with Some (`Num v) -> v | _ -> raise Malformed
-        in
-        (try
-           if int_of_float (num "schema_version") <> schema_version then raise Malformed;
-           (* The report's key figures come back from the flattened
-              "data:<key>" fields, in stored (= original) order. *)
-           let data =
-             List.filter_map
-               (fun (k, v) ->
-                 if String.length k > 5 && String.sub k 0 5 = "data:" then
-                   match v with
-                   | `Num f -> Some (String.sub k 5 (String.length k - 5), f)
-                   | `Str _ -> raise Malformed
-                 else None)
-               fields
-           in
-           let report =
-             {
-               Report.id = str "id";
-               title = str "title";
-               paper_claim = str "paper_claim";
-               table = str "table";
-               verdict = str "verdict";
-               data;
-             }
-           in
-           Some (report, num "uncached_seconds")
-         with Malformed -> None)
-    end
-  end
+  let ( let* ) = Option.bind in
+  let* dir = dir () in
+  let* j = Store.find ~dir (key ~dir ~id ~quick) in
+  let* version = J.num_member "schema_version" j in
+  let str k = J.str_member k j in
+  let* id = str "id" in
+  let* title = str "title" in
+  let* paper_claim = str "paper_claim" in
+  let* table = str "table" in
+  let* verdict = str "verdict" in
+  let* data = Option.bind (J.member "data" j) (function J.Obj kvs -> Some kvs | _ -> None) in
+  let* uncached = J.num_member "uncached_seconds" j in
+  (* The key figures come back in stored (= original) order. *)
+  let figures = List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (J.to_num v)) data in
+  if int_of_float version <> schema_version || List.length figures <> List.length data then None
+  else Some ({ Report.id; title; paper_claim; table; verdict; data = figures }, uncached)
 
 let store ~id ~quick ~seconds (r : Report.t) =
   match dir () with
   | None -> ()
-  | Some dir -> begin
-    try
-      mkdir_p dir;
-      let path = entry_path ~dir ~key:(key ~id ~quick) in
-      let tmp = Printf.sprintf "%s.%d.tmp" path (Domain.self () :> int) in
-      let oc = open_out_bin tmp in
-      let field k v = Printf.sprintf "\"%s\":\"%s\"" k (escape v) in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let data_fields =
-            String.concat ""
-              (List.map
-                 (fun (k, v) -> Printf.sprintf ",\"data:%s\":%.6g" (escape k) v)
-                 r.Report.data)
-          in
-          output_string oc
-            (Printf.sprintf "{\"schema_version\":%d,%s,%s,%s,%s,%s%s,\"uncached_seconds\":%.6g}\n"
-               schema_version (field "id" r.Report.id) (field "title" r.Report.title)
-               (field "paper_claim" r.Report.paper_claim)
-               (field "table" r.Report.table) (field "verdict" r.Report.verdict)
-               data_fields seconds));
-      Sys.rename tmp path
-    with Sys_error _ -> ()
-    (* a cache store failure must never fail the experiment *)
-  end
+  | Some dir ->
+    let str s = "\"" ^ J.escape s ^ "\"" in
+    let num = Printf.sprintf "%.6g" in
+    let obj fields =
+      "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
+    in
+    Store.store ~dir (key ~dir ~id ~quick)
+      (obj
+         [
+           ("schema_version", string_of_int schema_version);
+           ("id", str r.Report.id);
+           ("title", str r.Report.title);
+           ("paper_claim", str r.Report.paper_claim);
+           ("table", str r.Report.table);
+           ("verdict", str r.Report.verdict);
+           ("data", obj (List.map (fun (k, v) -> (k, num v)) r.Report.data));
+           ("uncached_seconds", num seconds);
+         ]
+      ^ "\n")

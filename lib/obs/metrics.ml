@@ -137,22 +137,12 @@ let delta after before =
 let to_text () =
   String.concat "" (List.map (fun (k, v) -> Printf.sprintf "%s %.6g\n" k v) (snapshot ()))
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json () =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%.6g" (escape k) v) (snapshot ()))
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\":%.6g" (Hfi_util.Json.escape k) v)
+         (snapshot ()))
   ^ "}"
 
 let reset () =

@@ -73,18 +73,6 @@ let merge sinks = List.concat_map spans sinks
 
 (* ---- export ---- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One Chrome process per span group (the serving exports group by
    strategy), one thread per tenant; spans with a duration are complete
    events, zero-duration ones instants. Timestamps are virtual seconds
@@ -97,7 +85,7 @@ let chrome_event buf ~pid s =
        (stage_name s.stage)
        (if instant then "i" else "X")
        (if instant then "\"s\":\"t\"," else Printf.sprintf "\"dur\":%.3f," (s.dur_s *. 1e6))
-       (s.start_s *. 1e6) pid s.tenant s.req (escape s.outcome))
+       (s.start_s *. 1e6) pid s.tenant s.req (Hfi_util.Json.escape s.outcome))
 
 let to_chrome_string groups =
   let buf = Buffer.create 4096 in
@@ -110,7 +98,7 @@ let to_chrome_string groups =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
-           (i + 1) (escape name)))
+           (i + 1) (Hfi_util.Json.escape name)))
     groups;
   List.iteri
     (fun i (_, spans) ->
@@ -137,8 +125,8 @@ let to_jsonl_string groups =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"group\":\"%s\",\"req\":%d,\"tenant\":%d,\"stage\":\"%s\",\"start_s\":%.9f,\"dur_s\":%.9f,\"outcome\":\"%s\"}\n"
-               (escape name) s.req s.tenant (stage_name s.stage) s.start_s s.dur_s
-               (escape s.outcome)))
+               (Hfi_util.Json.escape name) s.req s.tenant (stage_name s.stage) s.start_s s.dur_s
+               (Hfi_util.Json.escape s.outcome)))
         spans)
     groups;
   Buffer.contents buf

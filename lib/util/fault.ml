@@ -89,26 +89,10 @@ let to_string t =
   opt (Printf.sprintf " sandbox=%s") t.sandbox;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let fields = ref [] in
   let add k v = fields := (k, v) :: !fields in
-  let str s = "\"" ^ json_escape s ^ "\"" in
+  let str s = "\"" ^ Json.escape s ^ "\"" in
   add "kind" (str (kind_name t.kind));
   add "detail" (str (kind_detail t.kind));
   (match t.kind with

@@ -171,6 +171,23 @@ let parse_file file =
   | exception Sys_error e -> Error e
   | raw -> parse raw
 
+(* ---- writing ---- *)
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 (* ---- accessors ---- *)
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None

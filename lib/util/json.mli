@@ -1,5 +1,6 @@
 (** Minimal JSON reader for the repository's own machine-readable
-    outputs (bench [--json], result-cache entries, [serve --json]).
+    outputs (bench [--json], cache entries, [serve --json]), plus the
+    one string escaper their hand-written emitters share.
     The bench regression gate uses it to load committed baselines; no
     external JSON dependency is vendored, so this is the one reader.
 
@@ -20,6 +21,12 @@ val parse : string -> (t, string) result
 
 val parse_file : string -> (t, string) result
 (** [parse] over a file's contents; unreadable files are [Error]. *)
+
+val escape : string -> string
+(** The body of a JSON string literal (without the quotes): escapes the
+    double quote, the backslash, newline, carriage return and tab by
+    name, and every other control character as a [\u00XX] escape. Every hand-written JSON emitter in
+    the repository goes through this one function. *)
 
 val member : string -> t -> t option
 (** Object field lookup; [None] on missing key or non-object. *)

@@ -75,20 +75,7 @@ let to_string t =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-(* Minimal JSON string escaping, matching Fault.to_json's style. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Hfi_util.Json.escape
 
 let violation_json v =
   Printf.sprintf

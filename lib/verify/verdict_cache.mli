@@ -4,9 +4,10 @@
     {!Program.fingerprint}), the strategy, the code base and the
     analysis itself ({!Checks.verifier_version}); entries are keyed by
     a digest of exactly those, so any analysis change makes old entries
-    unreachable rather than stale. One flat JSON file per entry,
-    written atomically; a corrupt entry is a miss; store failures are
-    swallowed.
+    unreachable rather than stale. Entries live in an
+    {!Hfi_util.Store}: one JSON file each, written atomically; a
+    corrupt entry is a miss; store failures are swallowed; safe under
+    [HFI_JOBS] / [--jobs] workers.
 
     Opt-in via [HFI_VERIFY_CACHE]: unset, empty or ["0"] disables;
     ["1"] uses [_build/.hfi-verify-cache]; any other value is the cache
@@ -29,8 +30,9 @@ val workload_key :
     in, so it stands in for both — same reasoning as
     [Hfi_experiments.Result_cache]). A hit elides compilation as well
     as verification; any rebuild changes the key. The executable
-    digest is memoized in [dir] behind a size+mtime stamp so a warm
-    lookup costs a stat, not a multi-megabyte hash. *)
+    digest is {!Hfi_util.Store.exe_digest}, memoized in [dir] behind
+    a size+mtime stamp so a warm lookup costs a stat, not a
+    multi-megabyte hash. *)
 
 val find_in :
   dir:string -> fingerprint:string -> strategy:Hfi_sfi.Strategy.t -> code_base:int ->

@@ -83,8 +83,8 @@ let pick_value rng k =
 
 let i cg x = Cg.emit cg x
 
-let workload ?live_override ?(pool_shrink = 0) p =
-  let live = match live_override with Some l -> l | None -> p.live_values in
+let workload p =
+  let live = p.live_values in
   let wss_mask = p.wss_bytes - 1 in
   let words = p.wss_bytes / 8 in
   Inst.workload ~name:p.name ~heap_bytes:(max p.wss_bytes 65536)
@@ -109,11 +109,7 @@ let workload ?live_override ?(pool_shrink = 0) p =
       (* The op stream must be identical across strategies: seed depends
          only on the profile. *)
       let rng = Prng.create ~seed:(Hashtbl.hash p.name) in
-      let full_pool = pool_for (Cg.strategy cg) in
-      (* pool_shrink emulates the compiler reserving extra registers —
-         the §6.1 register-pressure measurement. *)
-      let kept = Stdlib.max 4 (List.length full_pool - pool_shrink) in
-      let pool = Array.of_list (List.filteri (fun k _ -> k < kept) full_pool) in
+      let pool = Array.of_list (pool_for (Cg.strategy cg)) in
       let npool = Array.length pool in
       let reg_of v = pool.(v) in
       (* No And: it would collapse value entropy and with it the

@@ -37,7 +37,4 @@ val pool_for : Hfi_sfi.Strategy.t -> Reg.t list
     reserve. The re-allocation model of the §6.1 experiment treats
     exactly this list as allocatable. *)
 
-val workload : ?live_override:int -> ?pool_shrink:int -> profile -> Hfi_wasm.Instance.workload
-(** [live_override] forces the register-pressure demand; [pool_shrink]
-    removes allocatable registers as if the compiler reserved them —
-    both knobs of the §6.1 reserved-register experiment. *)
+val workload : profile -> Hfi_wasm.Instance.workload

@@ -1,7 +1,8 @@
 (* The persistent experiment-result cache (lib/experiments/result_cache):
-   env-var gating, round-trips through the on-disk JSON including
-   escape-worthy characters, key separation, and graceful misses on
-   corrupt entries. *)
+   env-var gating, round-trips through the on-disk entry layout including
+   escape-worthy characters, key separation, and the cache under
+   parallel registry workers. The store underneath (atomic writes,
+   corrupt-is-a-miss) has its own contract test in test_util. *)
 
 module RC = Hfi_experiments.Result_cache
 module Report = Hfi_experiments.Report
@@ -54,7 +55,14 @@ let test_round_trip () =
         check_string "paper_claim" sample_report.Report.paper_claim r.Report.paper_claim;
         check_string "table" sample_report.Report.table r.Report.table;
         check_string "verdict" sample_report.Report.verdict r.Report.verdict;
-        Alcotest.(check (float 1e-9)) "uncached seconds" 1.25 seconds)
+        check_bool "data" true (r.Report.data = sample_report.Report.data);
+        Alcotest.(check (float 1e-9)) "uncached seconds" 1.25 seconds;
+        (* Valid JSON missing a field of the layout is a miss too. *)
+        let path = Filename.concat dir (RC.key ~dir ~id:"fig3" ~quick:true ^ ".json") in
+        Out_channel.with_open_bin path (fun oc ->
+            Printf.fprintf oc {|{"schema_version":%d,"id":"fig3","uncached_seconds":1}|}
+              RC.schema_version);
+        check_bool "incomplete entry misses" true (RC.find ~id:"fig3" ~quick:true = None))
 
 let test_quick_and_full_are_distinct () =
   let dir = fresh_dir () in
@@ -64,42 +72,18 @@ let test_quick_and_full_are_distinct () =
       check_bool "other id missed" true (RC.find ~id:"fig2" ~quick:true = None);
       check_bool "quick hit" true (RC.find ~id:"fig3" ~quick:true <> None))
 
-let test_corrupt_entry_is_a_miss () =
-  let dir = fresh_dir () in
-  with_cache_env dir (fun () ->
-      RC.store ~id:"fig3" ~quick:false ~seconds:0.5 sample_report;
-      let path = RC.entry_path ~dir ~key:(RC.key ~id:"fig3" ~quick:false) in
-      let oc = open_out path in
-      output_string oc "{\"id\": [not flat";
-      close_out oc;
-      check_bool "corrupt entry misses, not crashes" true
-        (RC.find ~id:"fig3" ~quick:false = None);
-      (* A missing field is also a miss. *)
-      let oc = open_out path in
-      output_string oc "{\"id\":\"fig3\",\"uncached_seconds\":1}";
-      close_out oc;
-      check_bool "incomplete entry misses" true (RC.find ~id:"fig3" ~quick:false = None))
-
-(* v3 keys carry the runtime configuration: flipping the optimizer
-   switch or the reg-pressure model must land on a different entry, so a
-   report measured under one configuration is never served under
-   another. *)
+(* Keys carry the runtime configuration: flipping the optimizer switch
+   must land on a different entry, so a report measured under one
+   configuration is never served under another. *)
 let test_key_tracks_configuration () =
-  let base = RC.key ~id:"fig3" ~quick:true in
+  let dir = fresh_dir () in
+  let base = RC.key ~dir ~id:"fig3" ~quick:true in
   let flipped =
     Hfi_opt.Driver.with_enabled
       (not !Hfi_opt.Driver.enabled)
-      (fun () -> RC.key ~id:"fig3" ~quick:true)
+      (fun () -> RC.key ~dir ~id:"fig3" ~quick:true)
   in
-  check_bool "opt flag separates keys" true (base <> flipped);
-  let saved = try Sys.getenv "HFI_REGPRESSURE_MODEL" with Not_found -> "" in
-  Unix.putenv "HFI_REGPRESSURE_MODEL" "reserve";
-  let reserve =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "HFI_REGPRESSURE_MODEL" saved)
-      (fun () -> RC.key ~id:"fig3" ~quick:true)
-  in
-  check_bool "reg-pressure model separates keys" true (base <> reserve)
+  check_bool "opt flag separates keys" true (base <> flipped)
 
 let test_registry_uses_cache () =
   let dir = fresh_dir () in
@@ -126,13 +110,34 @@ let test_registry_uses_cache () =
       check_bool "use_cache:false bypasses" false o3.Hfi_experiments.Registry.cached;
       Alcotest.(check int) "bypass re-ran" 2 !runs)
 
+(* Two registry workers probing and filling one cold cache directory:
+   the executable digest in the key is computed concurrently, which must
+   neither raise nor split the entries. *)
+let test_run_many_parallel_cache () =
+  let dir = fresh_dir () in
+  with_cache_env dir (fun () ->
+      let entry id =
+        {
+          Hfi_experiments.Registry.id;
+          description = "test";
+          run = (fun ?quick:_ () -> { sample_report with Report.id });
+        }
+      in
+      let entries = [ entry "synthetic-par-a"; entry "synthetic-par-b" ] in
+      let cached () =
+        List.map
+          (fun o -> o.Hfi_experiments.Registry.cached)
+          (Hfi_experiments.Registry.run_many ~jobs:2 ~quick:true entries)
+      in
+      check_bool "cold run: all misses" true (cached () = [ false; false ]);
+      check_bool "warm run: all hits" true (cached () = [ true; true ]))
+
 let suite =
   [
+    Alcotest.test_case "run_many jobs=2 shares one cache" `Quick test_run_many_parallel_cache;
     Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
     Alcotest.test_case "store/find round trip" `Quick test_round_trip;
     Alcotest.test_case "keys separate id and mode" `Quick test_quick_and_full_are_distinct;
-    Alcotest.test_case "corrupt entries are misses" `Quick test_corrupt_entry_is_a_miss;
-    Alcotest.test_case "keys track opt/reg-pressure configuration" `Quick
-      test_key_tracks_configuration;
+    Alcotest.test_case "keys track opt configuration" `Quick test_key_tracks_configuration;
     Alcotest.test_case "registry consults the cache" `Quick test_registry_uses_cache;
   ]

@@ -175,6 +175,64 @@ let test_obs_histogram_reregister_keeps_bounds () =
       check_int "same instrument" 1 (Metrics.hist_count h2);
       check_int "original bounds kept" 1 (Array.length (Metrics.bucket_bounds h2)))
 
+(* ---- Store: the content-addressed JSON store both caches share ---- *)
+
+module Store = Hfi_util.Store
+module Json = Hfi_util.Json
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let test_store_contract () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hfi-store-test-%d" (Unix.getpid ()))
+  in
+  (* Concurrent workers on a cold directory see one digest, no exception. *)
+  let digests = Hfi_util.Pool.map ~jobs:4 (fun _ -> Store.exe_digest ~dir) (List.init 8 Fun.id) in
+  let digest = List.hd digests in
+  check_int "one digest across workers" 1 (List.length (List.sort_uniq compare digests));
+  check_int "hex digest" 32 (String.length digest);
+  (* Round trip, through the shared escaper, of every byte value. *)
+  let k = Store.key [ "entry"; "v1" ] in
+  check_bool "parts enter the key" true (k <> Store.key [ "entry"; "v2" ]);
+  check_bool "cold miss" true (Store.find ~dir k = None);
+  let bytes = String.init 256 Char.chr in
+  Store.store ~dir k (Printf.sprintf {|{"s":"%s","n":[1.5]}|} (Json.escape bytes));
+  (match Store.find ~dir k with
+  | Some j ->
+    check_bool "string round-trips" true (Json.str_member "s" j = Some bytes);
+    check_bool "array round-trips" true (Json.member "n" j = Some (Json.Arr [ Json.Num 1.5 ]))
+  | None -> Alcotest.fail "stored entry not found");
+  (* A truncated or corrupt entry is a miss, not an error. *)
+  let path = Filename.concat dir (k ^ ".json") in
+  let full = read_file path in
+  write_file path (String.sub full 0 (String.length full / 2));
+  check_bool "truncated entry misses" true (Store.find ~dir k = None);
+  write_file path "{ corrupt";
+  check_bool "corrupt entry misses" true (Store.find ~dir k = None);
+  (* A directory that cannot be created (its parent is a file) swallows
+     the store. *)
+  let file = Filename.concat dir "plain-file" in
+  write_file file "";
+  let bad = Filename.concat file "sub" in
+  Store.store ~dir:bad k "{}";
+  check_bool "unwritable store swallowed" true (Store.find ~dir:bad k = None);
+  (* A stamp matching the executable's size+mtime is trusted; a stale
+     one is re-hashed and rewritten. *)
+  let stamp = Filename.concat dir "exe.stamp" in
+  let st = Unix.stat Sys.executable_name in
+  let want = Printf.sprintf "%d %.6f" st.Unix.st_size st.Unix.st_mtime in
+  let fake = String.make 32 'f' in
+  write_file stamp (Printf.sprintf "%s\n%s\n" want fake);
+  Alcotest.(check string) "matching stamp trusted" fake (Store.exe_digest ~dir);
+  write_file stamp (Printf.sprintf "0 0.000000\n%s\n" fake);
+  Alcotest.(check string) "stale stamp re-hashed" digest (Store.exe_digest ~dir);
+  Alcotest.(check string) "stamp rewritten" (Printf.sprintf "%s\n%s\n" want digest)
+    (read_file stamp);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -199,4 +257,5 @@ let suite =
     Alcotest.test_case "units cycles/time" `Quick test_units_cycles_time;
     Alcotest.test_case "units comma grouping" `Quick test_units_pp_cycles_commas;
     Alcotest.test_case "table render" `Quick test_table_render;
+    Alcotest.test_case "store contract" `Quick test_store_contract;
   ]

@@ -57,17 +57,6 @@ let test_spec_workloads_halt () =
       check_bool (name ^ " halts") true (status = Machine.Halted))
     [ "400.perlbench"; "429.mcf"; "462.libquantum" ]
 
-let test_spec_pool_shrink_monotone () =
-  let p = { (Spec.find "400.perlbench") with Spec.iters = 10 } in
-  let cycles shrink =
-    let inst =
-      Hfi_wasm.Instance.instantiate ~strategy:Hfi_sfi.Strategy.Hfi
-        (Spec.workload ~pool_shrink:shrink p)
-    in
-    fst (Hfi_wasm.Instance.run_fast inst)
-  in
-  check_bool "more reserved registers never helps" true (cycles 2 >= cycles 0)
-
 let test_firefox_workloads_halt () =
   List.iter
     (fun w ->
@@ -124,7 +113,6 @@ let suite =
   @ [
       Alcotest.test_case "spec profiles complete" `Quick test_spec_profiles_complete;
       Alcotest.test_case "spec workloads halt" `Quick test_spec_workloads_halt;
-      Alcotest.test_case "pool shrink monotone" `Quick test_spec_pool_shrink_monotone;
       Alcotest.test_case "firefox workloads halt" `Quick test_firefox_workloads_halt;
       Alcotest.test_case "firefox per-row transitions" `Quick test_firefox_row_transitions;
       Alcotest.test_case "faas kernels halt" `Quick test_faas_kernels_halt;
