@@ -1,9 +1,10 @@
-(* Forward interval analysis over the µop CFG — the optimizer's copy of
-   the static verifier's register-state fixpoint (lib/verify/checks.ml),
-   restricted to registers and the pending-compare snapshot. Transfer
-   functions deliberately mirror the verifier instruction for
-   instruction: every bound this analysis proves, the verifier re-proves
-   on the optimized output, which is what makes check elision
+(* Forward interval analysis over the µop CFG for the optimizer's check
+   elision: register intervals plus the pending-compare snapshot, solved
+   by the fixpoint engine the static verifier also runs on (Fixpoint).
+   Transfer functions deliberately mirror the verifier's
+   (lib/verify/transfer.ml) instruction for instruction over this
+   smaller state: every bound this analysis proves, the verifier
+   re-proves on the optimized output, which is what makes check elision
    translation-validated by construction.
 
    [bound_cell] is the address of the trusted heap-size cell (written
@@ -17,7 +18,6 @@ type t = {
   uops : Uop.t array;
   cfg : Cfg.t;
   in_states : state option array;  (* per block; None = unreachable *)
-  converged : bool;
 }
 
 let join_cmp a b =
@@ -82,7 +82,7 @@ let step ~bound_cell ~heap_limit regs cmp_reg cmp_rhs (u : Uop.t) =
   | Uop.Ocmp_mem { d; mbase; midx; mdisp; _ } ->
     cmp_reg := d;
     cmp_rhs :=
-      (if mbase < 0 && midx < 0 && Some mdisp = bound_cell then Domain.itv 0 heap_limit
+      (if mbase < 0 && midx < 0 && mdisp = bound_cell then Domain.itv 0 heap_limit
        else Domain.top)
   | Uop.Opush _ -> bump_rsp (-8)
   | Uop.Opop d ->
@@ -139,106 +139,20 @@ let simulate ~bound_cell ~heap_limit uops (cfg : Cfg.t) st0 (b : Cfg.block) =
     in
     taken_edge @ fall_edge
 
-let widen_threshold = 3
-
-let compute ?bound_cell ~heap_limit (uops : Uop.t array) (cfg : Cfg.t) =
-  let nb = Array.length cfg.Cfg.blocks in
-  let in_states = Array.make nb None in
-  let converged = ref true in
-  if nb > 0 then begin
-    let init = initial_state () in
-    let visits = Array.make nb 0 in
-    let edge_st : (int * int, state) Hashtbl.t = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    let on_queue = Array.make nb false in
-    let enqueue b =
-      if not on_queue.(b) then begin
-        on_queue.(b) <- true;
-        Queue.push b queue
-      end
-    in
-    let narrowing = ref false in
-    let joined_in b =
-      let acc = ref (if b = 0 then Some init else None) in
-      Hashtbl.iter
-        (fun (_, t) s -> if t = b then acc := Some (match !acc with None -> s | Some a -> join_st a s))
-        edge_st;
-      !acc
-    in
-    let recompute b =
-      match joined_in b with
-      | None -> ()
-      | Some j -> (
-        match in_states.(b) with
-        | None ->
-          in_states.(b) <- Some j;
-          enqueue b
-        | Some cur ->
-          if !narrowing then begin
-            if j <> cur then begin
-              in_states.(b) <- Some j;
-              enqueue b
-            end
-          end
-          else begin
-            let u = join_st cur j in
-            if u <> cur then begin
-              visits.(b) <- visits.(b) + 1;
-              in_states.(b) <- Some (if visits.(b) > widen_threshold then widen_st cur u else u);
-              enqueue b
-            end
-          end)
-    in
-    let process b =
-      on_queue.(b) <- false;
-      match in_states.(b) with
-      | None -> ()
-      | Some s ->
-        List.iter
-          (fun (t, contrib) ->
-            match Hashtbl.find_opt edge_st (b, t) with
-            | Some old when old = contrib -> ()
-            | _ ->
-              Hashtbl.replace edge_st (b, t) contrib;
-              recompute t)
-          (simulate ~bound_cell ~heap_limit uops cfg s cfg.Cfg.blocks.(b))
-    in
-    let drain budget =
-      let left = ref budget in
-      while (not (Queue.is_empty queue)) && !left > 0 do
-        decr left;
-        process (Queue.pop queue)
-      done;
-      Queue.is_empty queue
-    in
-    in_states.(0) <- Some init;
-    enqueue 0;
-    if not (drain ((200 * nb) + 1000)) then begin
-      (* below the fixpoint: states are not sound facts, drop them all
-         so no pass acts on them (the program is left unoptimized) *)
-      converged := false;
-      Array.fill in_states 0 nb None
-    end
-    else begin
-      narrowing := true;
-      Queue.clear queue;
-      Array.fill on_queue 0 nb false;
-      for b = 0 to nb - 1 do
-        match (in_states.(b), joined_in b) with
-        | Some cur, Some j when j <> cur -> in_states.(b) <- Some j
-        | _ -> ()
-      done;
-      for b = 0 to nb - 1 do
-        if in_states.(b) <> None then enqueue b
-      done;
-      ignore (drain (8 * nb))
-    end
-  end;
-  { uops; cfg; in_states; converged = !converged }
+let compute ~bound_cell ~heap_limit (uops : Uop.t array) (cfg : Cfg.t) =
+  let fx =
+    Fixpoint.solve cfg ~init:(initial_state ()) ~join:join_st ~widen:widen_st
+      ~transfer:(fun b s -> simulate ~bound_cell ~heap_limit uops cfg s cfg.Cfg.blocks.(b))
+  in
+  let in_states = fx.Fixpoint.in_states in
+  (* below the fixpoint: states are not sound facts, drop them all so no
+     pass acts on them (the program is left unoptimized) *)
+  if not fx.Fixpoint.converged then Array.fill in_states 0 (Array.length in_states) None;
+  { uops; cfg; in_states }
 
 (* Replay a block from its fixpoint in-state, presenting the register
    state just BEFORE each instruction to [f]. *)
-let iter_block ?bound_cell ~heap_limit t b ~f =
+let iter_block ~bound_cell ~heap_limit t b ~f =
   match t.in_states.(b) with
   | None -> ()
   | Some st ->
