@@ -6,11 +6,15 @@
     are rejected — an obligation the verifier could not discharge is
     not proof of safety, so the LFI-style gate refuses to run it.
 
-    Verdicts are cached content-addressed: keyed by the compiled
-    program's {!Program.fingerprint} plus the strategy, so identical
-    module images verify once per process however many tenants share
-    them, and any compiler or module change invalidates by
-    construction. With [HFI_VERIFY_CACHE] set, first-seen fingerprints
+    The gate first lowers the module without the optimizer and looks
+    the reference fingerprint (plus strategy, heap size and the
+    [HFI_WASM_OPT] switch) up in a per-checker memo of compiled
+    fingerprints; the {!Hfi_opt.Driver} pipeline runs only on a memo
+    miss, so a hit costs codegen plus one digest. Verdicts are cached
+    content-addressed: keyed by the compiled program's
+    {!Program.fingerprint} plus the strategy, so identical module
+    images verify once per process however many tenants share them,
+    and any compiler or module change invalidates by construction. With [HFI_VERIFY_CACHE] set, first-seen fingerprints
     also consult (and feed) the persistent
     {!Hfi_verify.Verdict_cache}, so verification survives process
     restarts; every lookup is counted both here ({!hits} / {!misses} /
@@ -18,7 +22,8 @@
     [hfi_verify_cache_events_total{event=...}] observability counter. *)
 
 type t
-(** The verdict cache. *)
+(** The compiled-fingerprint memo and the verdict cache. One per
+    serving shard: neither table is locked. *)
 
 val create : unit -> t
 
@@ -35,9 +40,12 @@ val check :
   strategy:Hfi_sfi.Strategy.t ->
   Hfi_wasm.Instance.workload ->
   decision
-(** Compile, look up the fingerprint (in-memory first, then the
-    persistent cache if enabled), verify on a miss and store the fresh
-    verdict back. Never instantiates or executes the module. With
+(** Lower, map the reference fingerprint to the compiled one
+    (optimizing only on a first-seen reference program), look up the
+    compiled fingerprint (in-memory first, then the persistent cache if
+    enabled), verify on a miss and store the fresh verdict back. A hit
+    means the compiled program was already decided, whichever reference
+    program it came from. Never instantiates or executes the module. With
     [ctx], records the verdict and its source as an instant admission
     span at virtual time [at] (default 0): outcomes are
     [admitted]/[rejected-*] for a fresh verification, with a [-cached]

@@ -14,6 +14,10 @@ module Instance_pool = Hfi_serving.Instance_pool
 module Chaos = Hfi_serving.Chaos
 module Server = Hfi_serving.Server
 module Scheduler = Hfi_runtime.Scheduler
+module Instance = Hfi_wasm.Instance
+module Program = Hfi_isa.Program
+module Instr = Hfi_isa.Instr
+module Reg = Hfi_isa.Reg
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -177,6 +181,83 @@ let test_admission_gate_admits_and_caches () =
   (* same module under a different strategy is a distinct cache key *)
   ignore (Admission.check gate ~strategy:Strategy.Bounds_checks w);
   check_int "strategy is part of the key" 2 (Admission.misses gate)
+
+(* The gate memoizes "reference lowering -> compiled fingerprint" and
+   optimizes only on a miss, so it relies on this identity: the
+   reference lowering, optimized with the same [conv] whenever the
+   optimizer switch is on, is exactly what [build_program] compiles. *)
+let test_admission_memo_identity () =
+  let rng = Hfi_util.Prng.create ~seed:0x5EED in
+  let workloads =
+    List.map (fun (f : Hfi_workloads.Faas_workloads.t) -> f.workload)
+      Hfi_workloads.Faas_workloads.all
+    @ List.map snd Hfi_workloads.Sightglass.all
+    @ List.init 50 (fun _ -> Hfi_wasm.Wasm_compile.workload (Hfi_experiments.Fuzz.generate rng))
+  in
+  check_int "4 + 16 + 50 workloads" 70 (List.length workloads);
+  List.iter
+    (fun enabled ->
+      Hfi_opt.Driver.with_enabled enabled (fun () ->
+          List.iter
+            (fun (w : Instance.workload) ->
+              List.iter
+                (fun strategy ->
+                  let heap_size = Instance.round_to_wasm_page w.Instance.heap_bytes in
+                  let reference = Instance.build_program ~strategy ~optimize:false w in
+                  let memoized =
+                    if enabled then
+                      Hfi_opt.Driver.optimize (Instance.opt_conv ~strategy ~heap_size) reference
+                    else reference
+                  in
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s/%s/opt=%b" w.Instance.name (Strategy.to_string strategy)
+                       enabled)
+                    (Program.fingerprint (Instance.build_program ~strategy w))
+                    (Program.fingerprint memoized))
+                Strategy.all)
+            workloads))
+    [ true; false ]
+
+let test_admission_memo_keys_optimizer_switch () =
+  let gate = Admission.create () in
+  let w = (List.hd Hfi_workloads.Faas_workloads.all).Hfi_workloads.Faas_workloads.workload in
+  let check () = Admission.check gate ~strategy:Strategy.Bounds_checks w in
+  check_bool "optimized build admitted" true
+    (Hfi_opt.Driver.with_enabled true check = Admission.Admitted);
+  check_bool "reference build admitted" true
+    (Hfi_opt.Driver.with_enabled false check = Admission.Admitted);
+  check_int "switch off is a distinct compiled program" 2 (Admission.misses gate);
+  check_int "no hit across the switch" 0 (Admission.hits gate)
+
+let test_admission_hit_means_compiled_program_decided () =
+  (* Two reference programs that differ only by a dead store DCE
+     deletes: the second is a new memo key, but its compiled program is
+     already decided, so it counts as a hit, exactly as before the memo. *)
+  let base = (List.hd Hfi_workloads.Faas_workloads.all).Hfi_workloads.Faas_workloads.workload in
+  let with_prefix movs =
+    {
+      base with
+      Instance.build =
+        (fun c ->
+          List.iter (fun v -> Hfi_wasm.Codegen.emit c (Instr.Mov (Reg.R10, Instr.Imm v))) movs;
+          base.Instance.build c);
+    }
+  in
+  let plain = with_prefix [ 0 ] and dead_mov = with_prefix [ 7; 0 ] in
+  let strategy = Strategy.Bounds_checks in
+  Hfi_opt.Driver.with_enabled true (fun () ->
+      check_bool "reference programs differ" true
+        (Program.fingerprint (Instance.build_program ~strategy ~optimize:false plain)
+        <> Program.fingerprint (Instance.build_program ~strategy ~optimize:false dead_mov));
+      check_bool "compiled programs agree" true
+        (Program.fingerprint (Instance.build_program ~strategy plain)
+        = Program.fingerprint (Instance.build_program ~strategy dead_mov));
+      let gate = Admission.create () in
+      check_bool "plain admitted" true (Admission.check gate ~strategy plain = Admission.Admitted);
+      check_bool "dead-mov variant admitted" true
+        (Admission.check gate ~strategy dead_mov = Admission.Admitted);
+      check_int "one verification" 1 (Admission.misses gate);
+      check_int "decided compiled program is a hit" 1 (Admission.hits gate))
 
 let test_admission_gate_rejects_poison_before_execution () =
   (* The acceptance property: a region-escape module is refused under
@@ -345,6 +426,12 @@ let suite =
       test_pool_warm_cold_and_degradation;
     Alcotest.test_case "admission admits and caches verdicts" `Quick
       test_admission_gate_admits_and_caches;
+    Alcotest.test_case "admission memo: reference then optimize is the build" `Quick
+      test_admission_memo_identity;
+    Alcotest.test_case "admission memo: optimizer switch is in the key" `Quick
+      test_admission_memo_keys_optimizer_switch;
+    Alcotest.test_case "admission memo: hit means compiled program decided" `Quick
+      test_admission_hit_means_compiled_program_decided;
     Alcotest.test_case "admission rejects poison before execution" `Quick
       test_admission_gate_rejects_poison_before_execution;
     Alcotest.test_case "scheduler budget fault is typed" `Quick
