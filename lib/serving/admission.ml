@@ -48,21 +48,43 @@ let decision_of_report (r : Vreport.t) =
     in
     Rejected { verdict = "unknown"; detail }
 
-(* The compiled fingerprint of [w], with the compiled program itself
+(* A module image as a tenant uploads it: the reference lowering
+   (codegen only, [~optimize:false]) under the strategy it will be
+   served with, plus the strategy/heap-size part of its memo key. *)
+type image = {
+  name : string;
+  strategy : Strategy.t;
+  heap_size : int;
+  reference : Program.t;
+  key : string;  (* reference fingerprint/strategy/heap size *)
+}
+
+let image ~strategy (w : Instance.workload) =
+  let reference = Instance.build_program ~strategy ~optimize:false w in
+  let heap_size = Instance.round_to_wasm_page w.Instance.heap_bytes in
+  {
+    name = w.Instance.name;
+    strategy;
+    heap_size;
+    reference;
+    key =
+      Printf.sprintf "%s/%s/%d" (Program.fingerprint reference) (Strategy.to_string strategy)
+        heap_size;
+  }
+
+(* The compiled fingerprint of [img], with the compiled program itself
    deferred: it is needed only to verify, and a memo hit whose verdict
    is already decided never forces it. *)
-let compiled_fingerprint t ~strategy (w : Instance.workload) =
-  let reference = Instance.build_program ~strategy ~optimize:false w in
+let compiled_fingerprint t img =
   let optimize = !Hfi_opt.Driver.enabled in
-  let heap_size = Instance.round_to_wasm_page w.Instance.heap_bytes in
   let compile () =
-    if optimize then Hfi_opt.Driver.optimize (Instance.opt_conv ~strategy ~heap_size) reference
-    else reference
+    if optimize then
+      Hfi_opt.Driver.optimize
+        (Instance.opt_conv ~strategy:img.strategy ~heap_size:img.heap_size)
+        img.reference
+    else img.reference
   in
-  let key =
-    Printf.sprintf "%s/%s/%d/%b" (Program.fingerprint reference) (Strategy.to_string strategy)
-      heap_size optimize
-  in
+  let key = if optimize then img.key ^ "/true" else img.key ^ "/false" in
   match Hashtbl.find_opt t.compiled key with
   | Some fingerprint -> (fingerprint, lazy (compile ()))
   | None ->
@@ -71,26 +93,28 @@ let compiled_fingerprint t ~strategy (w : Instance.workload) =
     Hashtbl.replace t.compiled key fingerprint;
     (fingerprint, Lazy.from_val program)
 
-(* Verify the compiled form of [workload] under [strategy], memoized
+(* Verify the compiled form of a module image, memoized
    content-addressed at two levels. The first maps the reference
-   lowering (codegen only, [~optimize:false]) to the fingerprint of the
-   compiled program: its key is the reference fingerprint plus the
-   strategy, the Wasm-page heap size (both fold into the optimizer's
-   [conv]) and the [HFI_WASM_OPT] switch, so the [Hfi_opt.Driver]
-   pipeline runs only on a first-seen reference program. The second
-   maps the compiled fingerprint (a digest of the exact instruction
-   sequence) plus the strategy to the verdict, so two tenants sharing a
-   module image share one verification — and so do two reference
-   programs the optimizer maps to one image — and any change to the
-   module or the compiler changes the key.
+   lowering to the fingerprint of the compiled program: its key is the
+   reference fingerprint plus the strategy, the Wasm-page heap size
+   (both fold into the optimizer's [conv]) and the [HFI_WASM_OPT]
+   switch, so the [Hfi_opt.Driver] pipeline runs only on a first-seen
+   reference program. The second maps the compiled fingerprint (a
+   digest of the exact instruction sequence) plus the strategy to the
+   verdict, so two tenants sharing a module image share one
+   verification — and so do two reference programs the optimizer maps
+   to one image — and any change to the module or the compiler changes
+   the key.
 
-   Compilation is not cheap: under bounds-checks [Sfi_opt.elide] alone
-   costs 0.07–0.40 ms per FaaS kernel. With the optimizer run on every
-   lookup, a hit cost 517 us under bounds-checks and 40 us under hfi;
-   keyed on the reference lowering, it costs codegen plus one digest,
-   9.5 us and 8.5 us (perfbench serve, seed 1, traced, on a 2-core
-   host). A miss adds the optimizer and, for a first-seen compiled
-   program, the abstract-interpretation fixpoint (~2 ms).
+   Compilation is not cheap — under bounds-checks [Sfi_opt.elide]
+   alone costs 0.07–0.40 ms per FaaS kernel — so a hit must not
+   optimize. A serving campaign lowers each tenant's module once, at
+   its first admission ([image]), and a hit on that image is two table
+   lookups: 0.16–0.23 us on a 2-core host, against 6.8–9.0 us for a
+   one-off [check], which lowers and digests the module on every call
+   (medians of 200-call batches over the FaaS kernels, hfi and
+   bounds-checks). A miss adds the optimizer and, for a first-seen
+   compiled program, the abstract-interpretation fixpoint (~2 ms).
 
    Behind the in-process verdict table sits the opt-in persistent
    {!Hfi_verify.Verdict_cache} ([HFI_VERIFY_CACHE]), keyed on the
@@ -99,8 +123,9 @@ let compiled_fingerprint t ~strategy (w : Instance.workload) =
    verification survives process restarts — the report round-trips
    through JSON, and the decision is recomputed from the report, never
    stored. *)
-let check ?ctx ?(at = 0.0) t ~strategy (w : Instance.workload) =
-  let fingerprint, program = compiled_fingerprint t ~strategy w in
+let check_image ?ctx ?(at = 0.0) t img =
+  let strategy = img.strategy in
+  let fingerprint, program = compiled_fingerprint t img in
   let key = fingerprint ^ "/" ^ Strategy.to_string strategy in
   let code_base = Hfi_wasm.Layout.code_base in
   let decision, source =
@@ -121,7 +146,7 @@ let check ?ctx ?(at = 0.0) t ~strategy (w : Instance.workload) =
         t.misses <- t.misses + 1;
         cache_event `Miss;
         let report =
-          Checks.verify ~name:w.Instance.name { Checks.strategy; code_base }
+          Checks.verify ~name:img.name { Checks.strategy; code_base }
             (Lazy.force program)
         in
         Vcache.store ~fingerprint ~strategy ~code_base report;
@@ -139,6 +164,9 @@ let check ?ctx ?(at = 0.0) t ~strategy (w : Instance.workload) =
   in
   Hfi_obs.Span.emit ctx Hfi_obs.Span.Admission ~start_s:at ~dur_s:0.0 ~outcome;
   decision
+
+(* A one-off admission: lower [w] and check the resulting image. *)
+let check ?ctx ?at t ~strategy w = check_image ?ctx ?at t (image ~strategy w)
 
 let hits t = t.hits
 let misses t = t.misses

@@ -185,7 +185,11 @@ type report = {
 (* Measure the per-request service cycles of each (kernel, strategy)
    pair by multiplexing one instance of each onto the PR 1 scheduler —
    the busy-core model of §3.3.3, with the xsave/xrstor switch overhead
-   amortized across the residents. If the switch budget runs out the
+   amortized across the residents. The table depends on the whole
+   co-resident set (the switch share and the switch budget both follow
+   from how many instances were spawned), so a campaign runs it once
+   for each distinct set, not once per shard, and every shard with
+   that set reads the same table. If the switch budget runs out the
    typed Resource_exhausted fault is counted and the remaining kernels
    are measured by direct execution instead — degraded, never fatal. A
    kernel that faults (or whose instantiation raises) yields an [Error]
@@ -254,6 +258,8 @@ type tenant = {
   poisoned : bool;
   breaker : Breaker.t;
   mutable arrivals : float list;
+  mutable image : Admission.image option;
+      (* the module the tenant uploaded, lowered at its first admission *)
 }
 
 type shard_result = {
@@ -266,9 +272,46 @@ type shard_result = {
 
 let combo_key wkey strategy = wkey ^ "/" ^ Strategy.to_string strategy
 
-let run_shard (config : config) ~strategy ~shard_seed ~first_tenant ~count ~shard_requests
-    =
-  let rng = Prng.create ~seed:shard_seed in
+(* Draw a shard's tenants from the front of its stream; [run_shard]
+   continues the same [rng] for arrivals and hazards. *)
+let draw_tenants (config : config) ~rng ~first_tenant ~count =
+  let catalog = Array.of_list Fw.all in
+  Array.init count (fun i ->
+      let id = first_tenant + i in
+      let poisoned = Chaos.draw_poisoned config.rates rng in
+      let entry = catalog.(id mod Array.length catalog) in
+      let wkey, workload =
+        if poisoned then ("poison", Admission.poison_workload)
+        else (entry.Fw.name, entry.Fw.workload)
+      in
+      {
+        id;
+        wkey;
+        workload;
+        poisoned;
+        breaker = Breaker.create config.breaker;
+        arrivals = [];
+        image = None;
+      })
+
+(* Every (kernel, strategy) pair an instance of the shard can end up
+   running under: the preferred strategy, plus the graceful-degradation
+   fallback when the preferred one is HFI. Sorted, so two shards with
+   the same co-resident set yield the same list. *)
+let shard_combos ~strategy tenants =
+  let strategies =
+    if strategy = Strategy.Hfi then [ Strategy.Hfi; Strategy.Bounds_checks ]
+    else [ strategy ]
+  in
+  List.sort_uniq compare
+    (Array.to_list tenants
+    |> List.concat_map (fun t ->
+           if t.poisoned then []
+           else List.map (fun s -> (combo_key t.wkey s, t.workload, s)) strategies))
+
+let run_shard (config : config) ~strategy ~rng ~tenants ~services:(services, sched_budget_faults)
+    ~first_tenant ~shard_requests =
+  let count = Array.length tenants in
   (* Observability state is shard-local and write-only with respect to
      the simulation: spans/SLO observations never influence a draw or a
      timestamp, so enabling them cannot change any modeled outcome.
@@ -279,40 +322,6 @@ let run_shard (config : config) ~strategy ~shard_seed ~first_tenant ~count ~shar
     else None
   in
   let shard_index = first_tenant / shard_tenants in
-  let catalog = Array.of_list Fw.all in
-  let tenants =
-    Array.init count (fun i ->
-        let id = first_tenant + i in
-        let poisoned = Chaos.draw_poisoned config.rates rng in
-        let entry = catalog.(id mod Array.length catalog) in
-        let wkey, workload =
-          if poisoned then ("poison", Admission.poison_workload)
-          else (entry.Fw.name, entry.Fw.workload)
-        in
-        {
-          id;
-          wkey;
-          workload;
-          poisoned;
-          breaker = Breaker.create config.breaker;
-          arrivals = [];
-        })
-  in
-  (* Measure service times for every strategy an instance of this shard
-     can end up running under: the preferred one, plus the graceful-
-     degradation fallback when the preferred one is HFI. *)
-  let strategies =
-    if strategy = Strategy.Hfi then [ Strategy.Hfi; Strategy.Bounds_checks ]
-    else [ strategy ]
-  in
-  let combos =
-    List.sort_uniq compare
-      (Array.to_list tenants
-      |> List.concat_map (fun t ->
-             if t.poisoned then []
-             else List.map (fun s -> (combo_key t.wkey s, t.workload, s)) strategies))
-  in
-  let services, sched_budget_faults = measure_services combos in
   let service_of t (s : Strategy.t) =
     match Hashtbl.find_opt services (combo_key t.wkey s) with
     | Some (Ok cycles) -> Ok (Units.cycles_to_seconds cycles *. config.service_scale)
@@ -429,7 +438,15 @@ let run_shard (config : config) ~strategy ~shard_seed ~first_tenant ~count ~shar
           false
         end
         else
-          match Admission.check ?ctx ~at:arrival admission ~strategy t.workload with
+          let image =
+            match t.image with
+            | Some image -> image
+            | None ->
+              let image = Admission.image ~strategy t.workload in
+              t.image <- Some image;
+              image
+          in
+          match Admission.check_image ?ctx ~at:arrival admission image with
           | Admission.Admitted -> true
           | Admission.Rejected _ -> false
       in
@@ -630,12 +647,31 @@ let simulate ?jobs (config : config) ~strategy =
   if config.tenants < 1 then invalid_arg "Server.simulate: tenants < 1";
   if config.requests < 1 then invalid_arg "Server.simulate: requests < 1";
   if config.max_attempts < 1 then invalid_arg "Server.simulate: max_attempts < 1";
-  let shards = plan_shards config in
+  let shards =
+    List.map
+      (fun plan ->
+        let rng = Prng.create ~seed:plan.seed in
+        let tenants =
+          draw_tenants config ~rng ~first_tenant:plan.first_tenant ~count:plan.count
+        in
+        let combos = shard_combos ~strategy tenants in
+        (plan, rng, tenants, (List.map (fun (key, _, _) -> key) combos, combos)))
+      (plan_shards config)
+  in
+  (* One service-time table per distinct co-resident set, keyed on the
+     whole sorted combo list. *)
+  let distinct =
+    List.sort_uniq (fun (a, _) (b, _) -> compare a b) (List.map (fun (_, _, _, c) -> c) shards)
+  in
+  let tables =
+    List.combine (List.map fst distinct)
+      (Pool.map ?jobs (fun (_, combos) -> measure_services combos) distinct)
+  in
   let results =
     Pool.map ?jobs
-      (fun { seed; first_tenant; count; requests } ->
-        run_shard config ~strategy ~shard_seed:seed ~first_tenant ~count
-          ~shard_requests:requests)
+      (fun (plan, rng, tenants, (keys, _)) ->
+        run_shard config ~strategy ~rng ~tenants ~services:(List.assoc keys tables)
+          ~first_tenant:plan.first_tenant ~shard_requests:plan.requests)
       shards
   in
   let counters =

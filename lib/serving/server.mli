@@ -86,8 +86,10 @@ type counters = {
   verify_misses : int;  (** actual verifier runs *)
   verify_persisted : int;  (** verdicts loaded from the persistent cache *)
   sched_budget_faults : int;
-      (** measurement runs that exhausted the scheduler switch budget and
-          fell back to direct execution *)
+      (** shards whose service-time measurement exhausted the scheduler
+          switch budget and fell back to direct execution (shards with
+          the same co-resident set share one measurement, and each
+          counts it) *)
 }
 
 val zero_counters : counters

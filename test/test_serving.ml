@@ -259,6 +259,89 @@ let test_admission_hit_means_compiled_program_decided () =
       check_int "one verification" 1 (Admission.misses gate);
       check_int "decided compiled program is a hit" 1 (Admission.hits gate))
 
+(* A serving campaign lowers each tenant's module once and admits the
+   prebuilt image on every request; that must be indistinguishable from
+   a one-off [check] that lowers the workload each time: the same
+   decision and the same hit/miss/persisted counts after every call,
+   across strategies and both optimizer settings on one checker. *)
+let test_admission_image_equivalence () =
+  let workloads =
+    List.map (fun (f : Hfi_workloads.Faas_workloads.t) -> f.workload)
+      Hfi_workloads.Faas_workloads.all
+    @ [ Admission.poison_workload ]
+  in
+  (* images are built once per (workload, strategy), before either
+     optimizer setting, so the switch must be read at check time *)
+  let images =
+    List.map
+      (fun strategy -> (strategy, List.map (Admission.image ~strategy) workloads))
+      Strategy.all
+  in
+  let by_check = Admission.create () and by_image = Admission.create () in
+  let state gate d = (d, Admission.hits gate, Admission.misses gate, Admission.persisted gate) in
+  List.iter
+    (fun enabled ->
+      Hfi_opt.Driver.with_enabled enabled (fun () ->
+          List.iter
+            (fun strategy ->
+              List.iter2
+                (fun (w : Instance.workload) image ->
+                  for round = 1 to 2 do
+                    let expected =
+                      state by_check (Admission.check by_check ~strategy w)
+                    in
+                    let got = state by_image (Admission.check_image by_image image) in
+                    check_bool
+                      (Printf.sprintf "%s/%s/opt=%b round %d" w.Instance.name
+                         (Strategy.to_string strategy) enabled round)
+                      true (expected = got)
+                  done)
+                workloads (List.assoc strategy images))
+            Strategy.all))
+    [ true; false ];
+  check_bool "both decided something" true (Admission.misses by_image > 0);
+  check_bool "and hit afterwards" true (Admission.hits by_image > 0)
+
+(* The memo is content-addressed, not name-addressed: a tenant whose
+   workload shares a name with another but lowers to a different
+   reference program gets its own memo key, and so its own compiled
+   program and verdict. *)
+let test_admission_image_keys_on_content () =
+  let base = (List.hd Hfi_workloads.Faas_workloads.all).Hfi_workloads.Faas_workloads.workload in
+  let strategy = Strategy.Bounds_checks in
+  let dead_mov =
+    {
+      base with
+      Instance.build =
+        (fun c ->
+          Hfi_wasm.Codegen.emit c (Instr.Mov (Reg.R10, Instr.Imm 7));
+          base.Instance.build c);
+    }
+  in
+  let escaping =
+    {
+      base with
+      Instance.build =
+        (fun c ->
+          Admission.poison_workload.Instance.build c;
+          base.Instance.build c);
+    }
+  in
+  Hfi_opt.Driver.with_enabled false (fun () ->
+      let gate = Admission.create () in
+      let admit w = Admission.check_image gate (Admission.image ~strategy w) in
+      check_bool "base admitted" true (admit base = Admission.Admitted);
+      check_bool "same-name variant admitted" true (admit dead_mov = Admission.Admitted);
+      check_int "the variant is verified, not served from the base's entry" 2
+        (Admission.misses gate);
+      check_int "no hit across reference programs" 0 (Admission.hits gate);
+      check_bool "same-name escaping variant rejected" true
+        (match admit escaping with
+        | Admission.Rejected { verdict; _ } -> verdict = "unsafe"
+        | Admission.Admitted -> false);
+      check_bool "base still admitted from its own entry" true (admit base = Admission.Admitted);
+      check_int "one hit" 1 (Admission.hits gate))
+
 let test_admission_gate_rejects_poison_before_execution () =
   (* The acceptance property: a region-escape module is refused under
      every strategy, and the gate never instantiates it — its init hook
@@ -359,6 +442,29 @@ let test_serve_chaos_classifies_every_request () =
   check_bool "goodput below offered under faults" true
     (r.Server.goodput_rps < r.Server.offered_rps)
 
+(* perfbench pins the rendered reports of its serve campaigns in
+   perfbench/expected.json; replay the 1200-request pins here so a
+   serving change that drifts them fails the test suite too. The
+   rendering is perfbench's [render_report], field for field. *)
+let render_report (r : Server.report) =
+  let c = r.Server.counters in
+  Printf.sprintf
+    "requests=%d ok=%d retried_ok=%d shed=%d breaker_open=%d rejected_unverified=%d failed=%d \
+     retries=%d timed_out=%d cold_starts=%d warm_hits=%d degraded=%d evictions=%d breaker_trips=%d \
+     breaker_rejections=%d injected_faults=%d injected_stalls=%d spurious_rejects=%d \
+     poisoned_tenants=%d verify_hits=%d verify_misses=%d verify_persisted=%d \
+     sched_budget_faults=%d goodput=%h p50=%h p99=%h"
+    c.requests c.ok c.retried_ok c.shed c.breaker_open c.rejected_unverified c.failed c.retries
+    c.timed_out c.cold_starts c.warm_hits c.degraded c.evictions c.breaker_trips
+    c.breaker_rejections c.injected_faults c.injected_stalls c.spurious_rejects c.poisoned_tenants
+    c.verify_hits c.verify_misses c.verify_persisted c.sched_budget_faults r.Server.goodput_rps
+    r.Server.p50_ms r.Server.p99_ms
+
+let with_tracing f =
+  let t0 = !Hfi_obs.Obs.trace_enabled in
+  Hfi_obs.Obs.set_trace true;
+  Fun.protect ~finally:(fun () -> Hfi_obs.Obs.set_trace t0) f
+
 let test_serve_jobs_determinism () =
   (* The sharded campaign is byte-identical for any worker count: same
      counters, same percentiles, same everything. *)
@@ -370,7 +476,130 @@ let test_serve_jobs_determinism () =
   let other =
     Server.simulate ~jobs:1 { small_chaos with Server.seed = 13 } ~strategy:Strategy.Hfi
   in
-  check_bool "seed actually steers the campaign" true (r1 <> other)
+  check_bool "seed actually steers the campaign" true (r1 <> other);
+  (* Two more shapes, each also pinned to the reports a per-shard
+     service measurement produced, so a shard that reads another
+     shard's service table changes a pin. The burst campaign runs the
+     bursty arrival process. The partial one has 20 tenants, so shards
+     of 8, 8 and 4: with tenant 19 poisoned, the 4-tenant shard (one
+     tenant per kernel) lacks a kernel the full shards still run, so
+     the campaign measures two different service tables. *)
+  let burst = { (Server.default Server.Burst) with Server.tenants = 16; requests = 320; seed = 12 } in
+  let partial = { small_chaos with Server.tenants = 20; requests = 400; seed = 11 } in
+  let pinned =
+    [
+      ( "burst",
+        burst,
+        [
+          ( Strategy.Hfi,
+            "requests=225 ok=225 retried_ok=0 shed=0 breaker_open=0 rejected_unverified=0 \
+             failed=0 retries=0 timed_out=0 cold_starts=15 warm_hits=210 degraded=0 \
+             evictions=0 breaker_trips=0 breaker_rejections=0 injected_faults=0 \
+             injected_stalls=0 spurious_rejects=0 poisoned_tenants=0 verify_hits=217 \
+             verify_misses=8 verify_persisted=0 sched_budget_faults=0 \
+             goodput=0x1.d3e5e2287d1afp+9 p50=0x1.7de5e69ddabc7p+5 p99=0x1.4de015ab428eep+7" );
+          ( Strategy.Bounds_checks,
+            "requests=226 ok=226 retried_ok=0 shed=0 breaker_open=0 rejected_unverified=0 \
+             failed=0 retries=0 timed_out=0 cold_starts=15 warm_hits=211 degraded=0 \
+             evictions=0 breaker_trips=0 breaker_rejections=0 injected_faults=0 \
+             injected_stalls=0 spurious_rejects=0 poisoned_tenants=0 verify_hits=218 \
+             verify_misses=8 verify_persisted=0 sched_budget_faults=0 \
+             goodput=0x1.964aa66d7665dp+9 p50=0x1.01a4534225b0dp+6 p99=0x1.9f7506a05359ap+7" );
+        ] );
+      ( "partial last shard",
+        partial,
+        [
+          ( Strategy.Hfi,
+            "requests=388 ok=355 retried_ok=15 shed=0 breaker_open=12 rejected_unverified=6 \
+             failed=0 retries=15 timed_out=0 cold_starts=28 warm_hits=357 degraded=0 \
+             evictions=9 breaker_trips=1 breaker_rejections=12 injected_faults=15 \
+             injected_stalls=5 spurious_rejects=1 poisoned_tenants=1 verify_hits=363 \
+             verify_misses=12 verify_persisted=0 sched_budget_faults=0 \
+             goodput=0x1.55f84a44c827fp+9 p50=0x1.deafcdd6a8d24p+4 p99=0x1.9d356d4804042p+7" );
+          ( Strategy.Bounds_checks,
+            "requests=388 ok=355 retried_ok=15 shed=0 breaker_open=12 rejected_unverified=6 \
+             failed=0 retries=15 timed_out=0 cold_starts=28 warm_hits=357 degraded=0 \
+             evictions=9 breaker_trips=1 breaker_rejections=12 injected_faults=15 \
+             injected_stalls=5 spurious_rejects=1 poisoned_tenants=1 verify_hits=363 \
+             verify_misses=12 verify_persisted=0 sched_budget_faults=0 \
+             goodput=0x1.27a14c8b0de7ep+9 p50=0x1.c58bc7d972111p+4 p99=0x1.9e6f05903c47fp+7" );
+        ] );
+    ]
+  in
+  (* traced, so the span lists are compared too; the pins are of
+     optimized service kernels, so they hold under HFI_WASM_OPT=0 too *)
+  with_tracing @@ fun () ->
+  Hfi_opt.Driver.with_enabled true @@ fun () ->
+  List.iter
+    (fun (name, config, pins) ->
+      List.iter
+        (fun (strategy, pin) ->
+          let what = name ^ "/" ^ Strategy.to_string strategy in
+          let r1 = Server.simulate ~jobs:1 config ~strategy in
+          check_bool (what ^ ": jobs=1 equals jobs=4") true
+            (r1 = Server.simulate ~jobs:4 config ~strategy);
+          Alcotest.(check string) (what ^ ": pinned report") pin (render_report r1))
+        pins)
+    pinned;
+  let r = Server.simulate ~jobs:1 partial ~strategy:Strategy.Hfi in
+  let poisoned =
+    List.filter_map
+      (fun (sp : Hfi_obs.Span.t) ->
+        if sp.Hfi_obs.Span.stage = Hfi_obs.Span.Admission
+           && String.ends_with ~suffix:"-unsafe" sp.Hfi_obs.Span.outcome
+        then Some sp.Hfi_obs.Span.tenant
+        else None)
+      r.Server.spans
+  in
+  let kernels shard =
+    List.init Server.shard_tenants (fun i -> (shard * Server.shard_tenants) + i)
+    |> List.filter (fun id -> id < partial.Server.tenants && not (List.mem id poisoned))
+    |> List.map (fun id -> id mod List.length Hfi_workloads.Faas_workloads.all)
+    |> List.sort_uniq compare
+  in
+  check_bool "the shards run different co-resident sets" true
+    (List.length (List.sort_uniq compare (List.map kernels [ 0; 1; 2 ])) > 1)
+
+let serve_pins () =
+  (* under dune the test runs in _build/default/test; by hand, from the root *)
+  let path =
+    List.find Sys.file_exists [ "../perfbench/expected.json"; "perfbench/expected.json" ]
+  in
+  match Hfi_util.Json.parse_file path with
+  | Error e -> Alcotest.failf "cannot read %s: %s" path e
+  | Ok j -> (
+    match Hfi_util.Json.member "serve" j with
+    | Some (Hfi_util.Json.Obj kvs) ->
+      List.filter_map (fun (k, v) -> Option.map (fun s -> (k, s)) (Hfi_util.Json.to_str v)) kvs
+    | _ -> Alcotest.failf "%s: no serve pins" path)
+
+let test_serve_replays_perfbench_pins () =
+  (* perfbench pins its default, optimizing configuration *)
+  Hfi_opt.Driver.with_enabled true @@ fun () ->
+  let pins = serve_pins () in
+  let requests = 1200 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun scenario ->
+          List.iter
+            (fun strategy ->
+              let key =
+                Printf.sprintf "%d/%d/%s/%s" seed requests (Server.scenario_name scenario)
+                  (Strategy.to_string strategy)
+              in
+              let pin =
+                match List.assoc_opt key pins with
+                | Some pin -> pin
+                | None -> Alcotest.failf "no pin for %s" key
+              in
+              let config = { (Server.default scenario) with Server.seed; requests } in
+              Alcotest.(check string)
+                key pin
+                (render_report (Server.simulate ~jobs:1 config ~strategy)))
+            [ Strategy.Hfi; Strategy.Bounds_checks ])
+        [ Server.Steady; Server.Chaos ])
+    [ 0; 1; 2; 3 ]
 
 let test_serve_degradation_under_budget_pressure () =
   (* One shard, HFI budget below the tenant count, long keep-alive:
@@ -432,6 +661,10 @@ let suite =
       test_admission_memo_keys_optimizer_switch;
     Alcotest.test_case "admission memo: hit means compiled program decided" `Quick
       test_admission_hit_means_compiled_program_decided;
+    Alcotest.test_case "admission: prebuilt image equals one-off check" `Quick
+      test_admission_image_equivalence;
+    Alcotest.test_case "admission: image memo keys on content, not name" `Quick
+      test_admission_image_keys_on_content;
     Alcotest.test_case "admission rejects poison before execution" `Quick
       test_admission_gate_rejects_poison_before_execution;
     Alcotest.test_case "scheduler budget fault is typed" `Quick
@@ -441,6 +674,8 @@ let suite =
     Alcotest.test_case "serve_chaos classifies every request" `Quick
       test_serve_chaos_classifies_every_request;
     Alcotest.test_case "serving jobs=1 equals jobs=4" `Quick test_serve_jobs_determinism;
+    Alcotest.test_case "serving replays perfbench's pinned reports" `Quick
+      test_serve_replays_perfbench_pins;
     Alcotest.test_case "HFI budget pressure degrades gracefully" `Quick
       test_serve_degradation_under_budget_pressure;
     Alcotest.test_case "failed outcome reachable and classified" `Quick
